@@ -381,6 +381,26 @@ void WriteKernelThroughputJson(const char* path) {
     });
   };
 
+  // The 64-chain radix bucket scatter (Progressive Radixsort creation
+  // and drains) with each tier's digit kernel. Fresh chains every rep,
+  // built outside the timer; block allocation stays timed, since the
+  // indexes pay it too.
+  std::vector<BucketChain> chains;
+  auto fresh_chains = [&] {
+    chains.clear();
+    for (size_t c = 0; c < 64; c++) chains.emplace_back();
+  };
+  auto chain_scatter = [&](const kernels::KernelOps& ops) {
+    return MeasureSecsOnce(fresh_chains, [&] {
+      ScatterToChainsBatched(
+          [&ops](const value_t* batch, size_t len, uint32_t* ids) {
+            ops.compute_digits(batch, len, 0, 0, 63u, ids);
+          },
+          data.data(), kN, chains.data(), chains.size());
+      throughput_sink = static_cast<int64_t>(chains[0].size());
+    });
+  };
+
   struct NamedKernel {
     const char* name;
     std::function<double(const kernels::KernelOps&)> measure_once;
@@ -390,6 +410,7 @@ void WriteKernelThroughputJson(const char* path) {
       {"partition_two_sided", partition},
       {"crack_in_place", crack},
       {"radix_histogram_scatter", scatter},
+      {"scatter_to_chains", chain_scatter},
   };
 
   struct ResultRow {
@@ -417,6 +438,9 @@ void WriteKernelThroughputJson(const char* path) {
     for (const double secs : tier_best) row.tier_gbps.push_back(gbytes / secs);
     rows.push_back(std::move(row));
   }
+  // Thread-sweep-only row (no per-tier kernel): Progressive
+  // Bucketsort's batched scatter.
+  rows.push_back({"scatter_to_chains_batched", {}, 0, {}});
 
   // --- Per-thread-count rows: the parallel composite primitives over
   // the dispatched tier. T = 1 is the *serial* dispatched path (the
@@ -466,6 +490,41 @@ void WriteKernelThroughputJson(const char* path) {
       throughput_sink = dst[0];
     });
   };
+  // The radix indexes' chain scatter at T configured lanes: serial by
+  // design (docs/parallel.md), so this row records that the lane count
+  // no longer costs it anything.
+  auto chain_scatter_at = [&](size_t t) {
+    parallel::SetLanesForTesting(t);
+    const double secs = MeasureSecsOnce(fresh_chains, [&] {
+      ScatterToChains(data.data(), kN, 0, 0, 63u, chains.data());
+      throughput_sink = static_cast<int64_t>(chains[0].size());
+    });
+    parallel::SetLanesForTesting(0);
+    return secs;
+  };
+  // Progressive Bucketsort's shape: ids from a binary search over 63
+  // equi-height bounds, resolved across the pool, appended serially.
+  std::vector<value_t> bounds;
+  for (size_t i = 1; i < 64; i++) {
+    bounds.push_back(static_cast<value_t>(i * kN / 64));
+  }
+  auto batched_at = [&](size_t t) {
+    parallel::SetLanesForTesting(t);
+    const double secs = MeasureSecsOnce(fresh_chains, [&] {
+      parallel::ScatterToChainsBatched(
+          [&bounds](const value_t* batch, size_t len, uint32_t* ids) {
+            for (size_t i = 0; i < len; i++) {
+              ids[i] = static_cast<uint32_t>(
+                  std::upper_bound(bounds.begin(), bounds.end(), batch[i]) -
+                  bounds.begin());
+            }
+          },
+          data.data(), kN, chains.data(), chains.size());
+      throughput_sink = static_cast<int64_t>(chains[0].size());
+    });
+    parallel::SetLanesForTesting(0);
+    return secs;
+  };
   struct ThreadSweep {
     const char* row_name;
     std::function<double(size_t)> measure_at;
@@ -474,6 +533,8 @@ void WriteKernelThroughputJson(const char* path) {
       {"predicated_range_sum", rs_at},
       {"partition_two_sided", partition_at},
       {"radix_histogram_scatter", scatter_at},
+      {"scatter_to_chains", chain_scatter_at},
+      {"scatter_to_chains_batched", batched_at},
   };
   for (const ThreadSweep& sweep : sweeps) {
     std::vector<double> best(std::size(kThreadCounts), 1e30);
@@ -567,18 +628,20 @@ void WriteKernelThroughputJson(const char* path) {
   std::string kernels_raw = "[\n";
   for (size_t i = 0; i < rows.size(); i++) {
     const ResultRow& row = rows[i];
-    const double scalar_gbps = row.tier_gbps[0];
-    bench::AppendF(&kernels_raw,
-                   "    {\"name\": \"%s\", \"scalar_gbps\": %.3f, "
-                   "\"dispatched_gbps\": %.3f, \"speedup\": %.3f,\n"
-                   "     \"tiers\": {",
-                   row.name, scalar_gbps, row.dispatched_gbps,
-                   row.dispatched_gbps / scalar_gbps);
-    for (size_t t = 0; t < tiers.size(); t++) {
-      bench::AppendF(&kernels_raw, "%s\"%s\": %.3f", t == 0 ? "" : ", ",
-                     tiers[t]->name, row.tier_gbps[t]);
+    bench::AppendF(&kernels_raw, "    {\"name\": \"%s\"", row.name);
+    if (!row.tier_gbps.empty()) {
+      const double scalar_gbps = row.tier_gbps[0];
+      bench::AppendF(&kernels_raw,
+                     ", \"scalar_gbps\": %.3f, \"dispatched_gbps\": %.3f, "
+                     "\"speedup\": %.3f,\n     \"tiers\": {",
+                     scalar_gbps, row.dispatched_gbps,
+                     row.dispatched_gbps / scalar_gbps);
+      for (size_t t = 0; t < tiers.size(); t++) {
+        bench::AppendF(&kernels_raw, "%s\"%s\": %.3f", t == 0 ? "" : ", ",
+                       tiers[t]->name, row.tier_gbps[t]);
+      }
+      kernels_raw += "}";
     }
-    kernels_raw += "}";
     if (!row.thread_gbps.empty()) {
       kernels_raw += ",\n     \"threads\": {";
       for (size_t t = 0; t < row.thread_gbps.size(); t++) {
@@ -610,14 +673,18 @@ void WriteKernelThroughputJson(const char* path) {
   std::printf("kernel throughput (dispatched tier=%s) -> %s\n", active.name,
               path);
   for (const ResultRow& row : rows) {
-    std::printf("  %-24s", row.name);
-    for (size_t t = 0; t < tiers.size(); t++) {
-      std::printf("  %s %6.2f GB/s", tiers[t]->name, row.tier_gbps[t]);
+    std::printf("  %-26s", row.name);
+    if (!row.tier_gbps.empty()) {
+      for (size_t t = 0; t < tiers.size(); t++) {
+        std::printf("  %s %6.2f GB/s", tiers[t]->name, row.tier_gbps[t]);
+      }
+      std::printf("  | dispatched %6.2f GB/s (%.2fx scalar)\n",
+                  row.dispatched_gbps, row.dispatched_gbps / row.tier_gbps[0]);
+    } else {
+      std::printf("\n");
     }
-    std::printf("  | dispatched %6.2f GB/s (%.2fx scalar)\n",
-                row.dispatched_gbps, row.dispatched_gbps / row.tier_gbps[0]);
     if (!row.thread_gbps.empty()) {
-      std::printf("  %-24s", "");
+      std::printf("  %-26s", "");
       for (size_t t = 0; t < row.thread_gbps.size(); t++) {
         std::printf("  T=%zu %6.2f GB/s", kThreadCounts[t],
                     row.thread_gbps[t]);

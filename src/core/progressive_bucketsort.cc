@@ -168,9 +168,9 @@ void ProgressiveBucketsort::DoWorkSecs(double secs) {
         elems = std::min(elems, n - copy_pos_);
         // Equi-height bounds need a binary search per element (no digit
         // kernel applies). The parallel batched scatter resolves ids in
-        // concurrent chunks (the bounds are read-only), then workers
-        // append to disjoint owned bucket ranges; small slices fall
-        // back to the serial WC-staged scatter.
+        // concurrent chunks (the bounds are read-only), then appends
+        // them serially through the WC-staged scatter; small slices
+        // stay serial end to end.
         parallel::ScatterToChainsBatched(
             [this](const value_t* batch, size_t len, uint32_t* ids) {
               for (size_t i = 0; i < len; i++) {

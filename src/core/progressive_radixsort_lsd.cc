@@ -187,11 +187,9 @@ void ProgressiveRadixsortLSD::DoWorkSecs(double secs) {
       case Phase::kCreation: {
         size_t elems = UnitsForSecs(secs, unit);
         elems = std::min(elems, n - copy_pos_);
-        // Pass-0 bucketing via the parallel chain scatter: digits in
-        // concurrent chunks, appends split across workers by bucket
-        // ownership (small slices stay on the serial WC path).
-        parallel::ScatterToChains(column_.data() + copy_pos_, elems, min_, 0,
-                                  63u, source_.data());
+        // Pass-0 bucketing: the serial WC-staged chain scatter.
+        ScatterToChains(column_.data() + copy_pos_, elems, min_, 0, 63u,
+                        source_.data());
         copy_pos_ += elems;
         secs -= static_cast<double>(elems) * unit;
         if (copy_pos_ == n) {
@@ -206,30 +204,10 @@ void ProgressiveRadixsortLSD::DoWorkSecs(double secs) {
         const size_t elems = UnitsForSecs(secs, unit);
         size_t moved = 0;
         const int pass_shift = static_cast<int>(6 * pass_);
-        std::vector<parallel::SrcRun> runs;
         while (moved < elems && drain_bucket_ < 64) {
           BucketChain& bucket = source_[drain_bucket_];
-          // Gather this bucket's block runs up to the remaining budget
-          // and scatter them in one call: big drain slices split across
-          // the pool (digits per run concurrently, appends by bucket
-          // ownership), small ones run the serial kernel per run.
-          runs.clear();
-          BucketChain::Cursor probe = drain_cursor_;
-          size_t batched = 0;
-          while (batched < elems - moved && !bucket.AtEnd(probe)) {
-            const value_t* run = nullptr;
-            size_t len = bucket.ContiguousRun(probe, &run);
-            len = std::min(len, elems - moved - batched);
-            runs.push_back({run, len});
-            bucket.Advance(&probe, len);
-            batched += len;
-          }
-          if (batched > 0) {
-            parallel::ScatterRunsToChains(runs.data(), runs.size(), min_,
-                                          pass_shift, 63u, dest_.data());
-            drain_cursor_ = probe;
-            moved += batched;
-          }
+          moved += DrainToChains(bucket, &drain_cursor_, elems - moved, min_,
+                                 pass_shift, 63u, dest_.data());
           if (bucket.AtEnd(drain_cursor_)) {
             bucket.Clear();  // free drained blocks eagerly
             drain_bucket_++;
@@ -390,16 +368,9 @@ void ProgressiveRadixsortLSD::PrepareQuery(const RangeQuery& q) {
       const double alpha =
           answer_est / std::max(model_.BucketScanSecs(), 1e-30);
       predicted_ = model_.RadixCreate(rho, std::min(alpha, 1.0), delta);
-      // Bucketing runs across the pool; re-price the indexing term
-      // with the measured parallel-efficiency curve.
-      const double bucket_term = delta * model_.BucketAppendSecs();
-      const size_t slice = static_cast<size_t>(delta * n);
-      const double bucket_threaded =
-          model_.ThreadedSecs(bucket_term, parallel::PlannedLanes(slice));
-      predicted_ += bucket_threaded - bucket_term;
       // Batch decomposition: the base-column remainder scan shares
       // across a batch; the candidate chain lookups stay per query.
-      pred_index_secs_ = bucket_threaded;
+      pred_index_secs_ = delta * model_.BucketAppendSecs();
       pred_shared_secs_ =
           std::max(1.0 - rho - delta, 0.0) * model_.ScanSecs();
       pred_private_secs_ =
@@ -411,17 +382,11 @@ void ProgressiveRadixsortLSD::PrepareQuery(const RangeQuery& q) {
       const double alpha =
           answer_est / std::max(model_.BucketScanSecs(), 1e-30);
       predicted_ = model_.RadixRefine(std::min(alpha, 1.0), delta);
-      // Pass drains take the parallel run-list scatter for big slices.
-      const double bucket_term = delta * model_.BucketAppendSecs();
-      const size_t slice = static_cast<size_t>(delta * n);
-      const double bucket_threaded =
-          model_.ThreadedSecs(bucket_term, parallel::PlannedLanes(slice));
-      predicted_ += bucket_threaded - bucket_term;
       // The union of candidate chains scans once per batch at the
       // chain rate (exec::PredicateSet::ScanRuns).
       const double chain_elem = model_.BucketScanSecs() / n;
       const double chain_secs = est_chain_elems_ * chain_elem;
-      pred_index_secs_ = bucket_threaded;
+      pred_index_secs_ = delta * model_.BucketAppendSecs();
       pred_shared_secs_ = chain_secs;
       pred_private_secs_ =
           std::max(predicted_ - pred_index_secs_ - pred_shared_secs_, 0.0);
@@ -747,6 +712,27 @@ bool ProgressiveRadixsortLSD::LoadState(persist::Reader* r) {
         !source_[drain_bucket_].CursorValid(drain_cursor_)) {
       return false;
     }
+    // Element conservation: every column value sits in exactly one
+    // place. Drained source buckets are empty; the merge's bounds check
+    // would abort on a snapshot whose counts disagree.
+    size_t undrained = 0;
+    for (size_t b = 0; b < source_.size(); b++) {
+      if (b < drain_bucket_) {
+        if (!source_[b].empty()) return false;
+      } else {
+        undrained += b == drain_bucket_ ? source_[b].Remaining(drain_cursor_)
+                                        : source_[b].size();
+      }
+    }
+    size_t dest_total = 0;
+    for (const BucketChain& chain : dest_) dest_total += chain.size();
+    const bool conserved =
+        phase_ == Phase::kCreation
+            ? dest_total == 0 && undrained == copy_pos_
+        : phase_ == Phase::kRefinement
+            ? undrained + dest_total == n
+            : dest_total == 0 && merged_ + undrained == n;
+    if (!conserved) return false;
   }
   if (phase_ == Phase::kMerge) {
     if (!r->ReadValueVector(&final_) || final_.size() != n) return false;

@@ -7,7 +7,6 @@
 #include "common/predication.h"
 #include "exec/batch_refine.h"
 #include "kernels/kernels.h"
-#include "parallel/primitives.h"
 #include "persist/io.h"
 
 namespace progidx {
@@ -151,27 +150,10 @@ size_t ProgressiveRadixsortMSD::RefineFront(size_t budget) {
     }
     front.cursor = BucketChain::Cursor{};
   }
-  size_t moved = 0;
-  // Gather the split's block runs up to the budget and scatter them in
-  // one call (child index = (v − lo_value) >> child_shift, always
-  // < 64): big slices split across the pool — digits per run
-  // concurrently, appends by child-bucket ownership — small ones run
-  // the serial kernel per run.
-  std::vector<parallel::SrcRun> runs;
-  BucketChain::Cursor probe = front.cursor;
-  while (moved < budget && !front.chain.AtEnd(probe)) {
-    const value_t* run = nullptr;
-    size_t len = front.chain.ContiguousRun(probe, &run);
-    len = std::min(len, budget - moved);
-    runs.push_back({run, len});
-    front.chain.Advance(&probe, len);
-    moved += len;
-  }
-  if (moved > 0) {
-    parallel::ScatterRunsToChains(runs.data(), runs.size(), front.lo_value,
-                                  child_shift, 63u, front.children.data());
-    front.cursor = probe;
-  }
+  // Child index = (v − lo_value) >> child_shift, always < 64.
+  const size_t moved =
+      DrainToChains(front.chain, &front.cursor, budget, front.lo_value,
+                    child_shift, 63u, front.children.data());
   if (front.chain.AtEnd(front.cursor)) {
     // Split complete: replace the front bucket by its non-empty
     // children, preserving value order.
@@ -206,15 +188,12 @@ void ProgressiveRadixsortMSD::DoWorkSecs(double secs) {
             ClampWorkUnit(model_.BucketAppendSecs() / static_cast<double>(n));
         size_t elems = UnitsForSecs(secs, unit);
         elems = std::min(elems, n - copy_pos_);
-        // Root bucketing through the parallel chain scatter (digits in
-        // concurrent chunks, appends by bucket ownership). root_mask_
-        // is the identity on every id (the domain bounds the shifted
-        // value below 2^radix_bits), but its width tells the scatter
-        // how many chains exist — enabling both WC staging on the
-        // serial path and the ownership split on the parallel one.
-        parallel::ScatterToChains(column_.data() + copy_pos_, elems, min_,
-                                  root_shift_, root_mask_,
-                                  root_buckets_.data());
+        // Root bucketing through the serial WC-staged chain scatter.
+        // root_mask_ is the identity on every id (the domain bounds the
+        // shifted value below 2^radix_bits), but its width tells the
+        // scatter how many chains exist, which enables WC staging.
+        ScatterToChains(column_.data() + copy_pos_, elems, min_, root_shift_,
+                        root_mask_, root_buckets_.data());
         copy_pos_ += elems;
         secs -= static_cast<double>(elems) * unit;
         if (copy_pos_ == n) {
@@ -338,16 +317,9 @@ void ProgressiveRadixsortMSD::PrepareQuery(const RangeQuery& q) {
       const double alpha =
           answer_est / std::max(model_.BucketScanSecs(), 1e-30);
       predicted_ = model_.RadixCreate(rho, std::min(alpha, 1.0), delta);
-      // Root bucketing runs across the pool; re-price the indexing
-      // term with the measured parallel-efficiency curve.
-      const double bucket_term = delta * model_.BucketAppendSecs();
-      const size_t slice = static_cast<size_t>(delta * n);
-      const double bucket_threaded =
-          model_.ThreadedSecs(bucket_term, parallel::PlannedLanes(slice));
-      predicted_ += bucket_threaded - bucket_term;
       // Batch decomposition: the base-column remainder scan shares
       // across a batch; root-bucket chain lookups stay per query.
-      pred_index_secs_ = bucket_threaded;
+      pred_index_secs_ = delta * model_.BucketAppendSecs();
       pred_shared_secs_ =
           std::max(1.0 - rho - delta, 0.0) * model_.ScanSecs();
       pred_private_secs_ =
@@ -359,19 +331,12 @@ void ProgressiveRadixsortMSD::PrepareQuery(const RangeQuery& q) {
       const double alpha =
           answer_est / std::max(model_.BucketScanSecs(), 1e-30);
       predicted_ = model_.RadixRefine(std::min(alpha, 1.0), delta);
-      // Bucket splits drain through the parallel run-list scatter for
-      // big slices, like the LSD passes; re-price the indexing term.
-      const double bucket_term = delta * model_.BucketAppendSecs();
-      const size_t slice = static_cast<size_t>(delta * n);
-      const double bucket_threaded =
-          model_.ThreadedSecs(bucket_term, parallel::PlannedLanes(slice));
-      predicted_ += bucket_threaded - bucket_term;
       // Candidate pending chains scan once per batch at the chain rate
       // (exec::PredicateSet::ScanRuns); the binary search and the
       // sorted-prefix matched scan stay per query.
       const double chain_elem = model_.BucketScanSecs() / n;
       const double chain_secs = est_chain_elems_ * chain_elem;
-      pred_index_secs_ = bucket_threaded;
+      pred_index_secs_ = delta * model_.BucketAppendSecs();
       pred_shared_secs_ = chain_secs;
       pred_private_secs_ =
           std::max(predicted_ - pred_index_secs_ - pred_shared_secs_, 0.0);
@@ -603,9 +568,12 @@ bool ProgressiveRadixsortMSD::LoadState(persist::Reader* r) {
   phase_ = static_cast<Phase>(phase);
   if (phase_ == Phase::kCreation) {
     if (r->ReadU64() != root_buckets_.size()) return false;
+    size_t bucketed = 0;
     for (BucketChain& chain : root_buckets_) {
       if (!chain.LoadState(r)) return false;
+      bucketed += chain.size();
     }
+    if (bucketed != copy_pos_) return false;
   } else {
     // Creation's end moves every root bucket into pending_ and clears
     // the vector; match that so recovered saves stay byte-identical.
@@ -616,8 +584,12 @@ bool ProgressiveRadixsortMSD::LoadState(persist::Reader* r) {
     const uint64_t pending_count = r->ReadU64();
     if (!r->ok() || pending_count > n) return false;
     pending_.clear();
+    // Element conservation: merged values plus every pending bucket's
+    // undrained elements and split children account for the column.
+    size_t held = merged_;
     for (uint64_t i = 0; i < pending_count; i++) {
       PendingBucket p;
+      p.chain = BucketChain(options_.block_capacity);
       p.lo_value = r->ReadI64();
       p.hi_value = r->ReadI64();
       const int64_t shift = r->ReadI64();
@@ -633,19 +605,27 @@ bool ProgressiveRadixsortMSD::LoadState(persist::Reader* r) {
       p.shift = static_cast<int>(shift);
       // The split cursor must point into the chain being drained; an
       // idle bucket carries the fresh cursor and no children.
+      // A split drains into exactly the children RefineFront creates.
       if (p.splitting) {
-        if (!p.chain.CursorValid(p.cursor)) return false;
+        const uint64_t split_children =
+            shift >= 6 ? 64 : uint64_t{1} << shift;
+        if (!p.chain.CursorValid(p.cursor) || child_count != split_children) {
+          return false;
+        }
       } else if (child_count != 0 || p.cursor.block != 0 ||
                  p.cursor.offset != 0) {
         return false;
       }
+      held += p.chain.Remaining(p.cursor);
       for (uint64_t c = 0; c < child_count; c++) {
-        BucketChain child;
+        BucketChain child(options_.block_capacity);
         if (!child.LoadState(r)) return false;
+        held += child.size();
         p.children.push_back(std::move(child));
       }
       pending_.push_back(std::move(p));
     }
+    if (held != n) return false;
   }
   if (phase_ == Phase::kConsolidation || phase_ == Phase::kDone) {
     pending_.clear();

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/types.h"
 #include "parallel/thread_pool.h"
@@ -14,7 +15,7 @@
 // deterministically. Results are bit-identical to the serial kernel for
 // every lane count — sums are exact mod 2^64, partition and scatter
 // chunks land in precomputed disjoint output slices, and chain appends
-// preserve source order — so the progressive indexes can split a
+// run serially in source order — so the progressive indexes can split a
 // per-query indexing budget across workers without their state ever
 // depending on the thread count (the parity tests in
 // tests/parallel_test.cc enforce exactly this for T in {1, 2, 4, 8}).
@@ -95,28 +96,12 @@ void RadixScatter(const value_t* src, size_t n, value_t base, int shift,
 void RadixSortFlat(value_t* data, value_t* scratch, size_t n, value_t min_v,
                    value_t max_v);
 
-/// A contiguous source slice for the run-list scatters below (the
-/// budgeted bucket drains hand over block runs from BucketChain
-/// cursors).
+/// A contiguous source slice for CopyRunsTo (the budgeted merge and
+/// fill drains hand over block runs from BucketChain cursors).
 struct SrcRun {
   const value_t* data;
   size_t len;
 };
-
-/// Parallel radix scatter into bucket chains: digits are computed in
-/// parallel, then each worker *owns* a disjoint contiguous range of
-/// destination chains and appends only its own elements (in source
-/// order), so chain contents, block layout, and append order are
-/// bit-identical to the serial ScatterToChains for every lane count —
-/// and the per-chain append path stays entirely race-free.
-void ScatterToChains(const value_t* src, size_t n, value_t base, int shift,
-                     uint32_t mask, BucketChain* chains);
-
-/// Run-list variant for budgeted drains (Progressive Radixsort LSD
-/// passes, MSD splits): scatters runs[0], runs[1], ... in order, as if
-/// concatenated.
-void ScatterRunsToChains(const SrcRun* runs, size_t num_runs, value_t base,
-                         int shift, uint32_t mask, BucketChain* chains);
 
 /// Lays runs[0], runs[1], ... end-to-end at `dst` (block memcpys) and
 /// returns the total elements copied. Large totals split across the
@@ -135,24 +120,20 @@ void StridedGather(const value_t* src, size_t start, size_t stride,
                    size_t count, value_t* dst);
 
 namespace detail {
-/// Owner-parallel append phase shared by the chain scatters:
-/// ids[i] < num_chains is the destination of src element i (src given
-/// as a run list; ids indexes the runs' concatenation); each lane
-/// appends the elements of its owned chain range, in global source
-/// order.
-void OwnerScatterRunsToChains(const SrcRun* runs, size_t num_runs,
-                              const uint32_t* ids, BucketChain* chains,
-                              size_t num_chains, size_t lanes);
 /// Scratch id buffer reused across calls (grows, never shrinks).
 uint32_t* ScratchIds(size_t n);
 }  // namespace detail
 
 /// Parallel ScatterToChainsBatched: `fill_ids(batch, len, ids)` must be
 /// callable concurrently on disjoint batches (a const binary search —
-/// Progressive Bucketsort's equi-height bounds — qualifies). Ids are
-/// resolved in parallel chunks, then the owner-parallel append phase
-/// runs as in ScatterToChains. Falls back to the serial
-/// ScatterToChainsBatched below the parallel threshold.
+/// Progressive Bucketsort's equi-height bounds — qualifies). Only the
+/// id resolution runs across the pool, in fixed chunks; the appends
+/// then run through the serial WC-staged ScatterToChainsBatched in
+/// source order, so chains are bit-identical to the serial scatter for
+/// every lane count. Appends are not split by lane: a lane-owned split
+/// has every lane re-read the whole id stream, which measured slower at
+/// 2-4 lanes than one serial pass (docs/parallel.md). Falls back to
+/// the serial ScatterToChainsBatched below the parallel threshold.
 template <typename FillIds>
 void ScatterToChainsBatched(FillIds&& fill_ids, const value_t* src, size_t n,
                             BucketChain* chains, size_t num_chains) {
@@ -165,8 +146,11 @@ void ScatterToChainsBatched(FillIds&& fill_ids, const value_t* src, size_t n,
   ParallelFor(0, n, kScatterChunk, lanes, [&](size_t b, size_t e) {
     fill_ids(src + b, e - b, ids + b);
   });
-  const SrcRun run{src, n};
-  detail::OwnerScatterRunsToChains(&run, 1, ids, chains, num_chains, lanes);
+  progidx::ScatterToChainsBatched(
+      [ids, src](const value_t* batch, size_t len, uint32_t* out) {
+        std::memcpy(out, ids + (batch - src), len * sizeof(uint32_t));
+      },
+      src, n, chains, num_chains);
 }
 
 }  // namespace parallel

@@ -256,11 +256,12 @@ std::string Reader::ReadString() {
 const value_t* Reader::ReadValueRun(size_t* n) {
   *n = 0;
   const uint64_t count = ReadU64();
-  const size_t bytes = static_cast<size_t>(count) * sizeof(value_t);
-  if (!ok_ || pos_ + bytes > payload_.size()) {
+  // Compare counts, not byte sizes: count * 8 wraps for a hostile count.
+  if (!ok_ || count > (payload_.size() - pos_) / sizeof(value_t)) {
     ok_ = false;
     return nullptr;
   }
+  const size_t bytes = static_cast<size_t>(count) * sizeof(value_t);
   const value_t* p = reinterpret_cast<const value_t*>(payload_.data() + pos_);
   pos_ += bytes;
   *n = static_cast<size_t>(count);

@@ -82,9 +82,8 @@ void BucketChain::SaveState(persist::Writer* w) const {
 bool BucketChain::LoadState(persist::Reader* r) {
   const size_t capacity = r->ReadU64();
   const size_t total = r->ReadU64();
-  if (!r->ok() || capacity == 0) return false;
+  if (!r->ok() || capacity != block_capacity_) return false;
   Clear();
-  block_capacity_ = capacity;
   size_t loaded = 0;
   while (loaded < total) {
     size_t n = 0;
@@ -103,6 +102,21 @@ void ScatterToChains(const value_t* src, size_t n, value_t base, int shift,
         kernels::ComputeDigits(batch, len, base, shift, mask, ids);
       },
       src, n, chains, static_cast<size_t>(mask) + 1);
+}
+
+size_t DrainToChains(const BucketChain& src, BucketChain::Cursor* cursor,
+                     size_t budget, value_t base, int shift, uint32_t mask,
+                     BucketChain* chains) {
+  size_t moved = 0;
+  while (moved < budget && !src.AtEnd(*cursor)) {
+    const value_t* run = nullptr;
+    const size_t len =
+        std::min(src.ContiguousRun(*cursor, &run), budget - moved);
+    ScatterToChains(run, len, base, shift, mask, chains);
+    src.Advance(cursor, len);
+    moved += len;
+  }
+  return moved;
 }
 
 }  // namespace progidx

@@ -136,6 +136,13 @@ class BucketChain {
     }
   }
 
+  /// Number of elements from `cursor` (inclusive) to the end of the
+  /// chain. `cursor` must satisfy CursorValid.
+  size_t Remaining(const Cursor& cursor) const {
+    if (cursor.block >= blocks_.size()) return 0;
+    return size_ - (cursor.block * block_capacity_ + cursor.offset);
+  }
+
   /// RangeSum over the not-yet-drained suffix starting at `cursor`,
   /// without advancing it; block-wise through the dispatched kernel.
   QueryResult RangeSumFrom(const Cursor& cursor, const RangeQuery& q) const;
@@ -145,9 +152,11 @@ class BucketChain {
   /// full, reloading through AppendRun reproduces the block geometry
   /// exactly, so saved Cursors remain valid against the reloaded chain.
   void SaveState(persist::Writer* w) const;
-  /// Replaces this chain's contents with state saved by SaveState
-  /// (adopting the saved block capacity). Returns false on a corrupt
-  /// payload.
+  /// Replaces this chain's contents with state saved by SaveState.
+  /// Returns false on a corrupt payload, including a saved block
+  /// capacity other than this chain's own (the loader constructs every
+  /// chain with the index's capacity, so any other value is corruption
+  /// — and trusting it would size an allocation from the file).
   bool LoadState(persist::Reader* r);
 
   /// True when `cursor` is a position this chain could yield: within
@@ -174,8 +183,9 @@ class BucketChain {
 
  private:
   struct Block {
+    // Not zero-filled: no reader looks at a slot at or past `count`.
     explicit Block(size_t capacity)
-        : values(std::make_unique<value_t[]>(capacity)) {}
+        : values(std::make_unique_for_overwrite<value_t[]>(capacity)) {}
     std::unique_ptr<value_t[]> values;
     size_t count = 0;
   };
@@ -257,9 +267,19 @@ void ScatterToChainsBatched(FillIds&& fill_ids, const value_t* src, size_t n,
 /// must hold mask + 1 entries. This is the radix bucket-scatter shared
 /// by Progressive Radixsort MSD (root bucketing and splits) and LSD
 /// (creation and per-pass drains); Progressive Bucketsort uses
-/// ScatterToChainsBatched directly with its equi-height binary search.
+/// ScatterToChainsBatched with its equi-height binary search.
 void ScatterToChains(const value_t* src, size_t n, value_t base, int shift,
                      uint32_t mask, BucketChain* chains);
+
+/// Budgeted drain: scatters up to `budget` elements of `src`, starting
+/// at `*cursor`, into `chains` as ScatterToChains does — one call per
+/// contiguous block run — and advances `*cursor` past them. Returns the
+/// number of elements moved. Chain contents and block layout depend
+/// only on the per-chain append order, so any split of a drain into
+/// budget slices yields the state of one scatter over the whole chain.
+size_t DrainToChains(const BucketChain& src, BucketChain::Cursor* cursor,
+                     size_t budget, value_t base, int shift, uint32_t mask,
+                     BucketChain* chains);
 
 }  // namespace progidx
 

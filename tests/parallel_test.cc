@@ -215,12 +215,24 @@ TEST(ParallelPrimitivesTest, RadixSortFlatSortsLikeStdSort) {
   EXPECT_EQ(data, expected);
 }
 
+/// Chain contents AND block layout: sizes, block counts, every block
+/// run's length, and the values in append order.
 void ExpectChainsEqual(const std::vector<BucketChain>& a,
                        const std::vector<BucketChain>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); i++) {
     ASSERT_EQ(a[i].size(), b[i].size()) << "chain " << i;
     ASSERT_EQ(a[i].block_count(), b[i].block_count()) << "chain " << i;
+    BucketChain::Cursor ca;
+    BucketChain::Cursor cb;
+    while (!a[i].AtEnd(ca)) {
+      const value_t* ra = nullptr;
+      const value_t* rb = nullptr;
+      const size_t la = a[i].ContiguousRun(ca, &ra);
+      ASSERT_EQ(la, b[i].ContiguousRun(cb, &rb)) << "chain " << i;
+      a[i].Advance(&ca, la);
+      b[i].Advance(&cb, la);
+    }
     std::vector<value_t> va(a[i].size());
     std::vector<value_t> vb(b[i].size());
     a[i].CopyTo(va.data());
@@ -229,45 +241,96 @@ void ExpectChainsEqual(const std::vector<BucketChain>& a,
   }
 }
 
+std::vector<BucketChain> MakeChains(size_t count, size_t block_capacity) {
+  std::vector<BucketChain> chains;
+  for (size_t i = 0; i < count; i++) chains.emplace_back(block_capacity);
+  return chains;
+}
+
+// The radix indexes' chain scatter is serial: whatever lane count is
+// configured, it must append every element in source order, exactly as
+// one Append per element would.
 TEST(ParallelPrimitivesTest, ScatterToChainsMatchesSerialAppendOrder) {
   const size_t n = (1 << 17) + 253;
   const std::vector<value_t> src = RandomValues(n, 13);
-  std::vector<BucketChain> serial_chains;
-  for (size_t i = 0; i < 64; i++) serial_chains.emplace_back(512);
-  ScatterToChains(src.data(), n, 0, 4, 63u, serial_chains.data());
-  for (const size_t lanes : {size_t{2}, size_t{4}, size_t{8}}) {
+  std::vector<BucketChain> reference = MakeChains(64, 512);
+  for (const value_t v : src) {
+    reference[(static_cast<uint64_t>(v) >> 4) & 63u].Append(v);
+  }
+  for (const size_t lanes : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     ScopedLanes scoped(lanes);
-    std::vector<BucketChain> chains;
-    for (size_t i = 0; i < 64; i++) chains.emplace_back(512);
-    parallel::ScatterToChains(src.data(), n, 0, 4, 63u, chains.data());
-    ExpectChainsEqual(chains, serial_chains);
+    std::vector<BucketChain> chains = MakeChains(64, 512);
+    ScatterToChains(src.data(), n, 0, 4, 63u, chains.data());
+    ExpectChainsEqual(chains, reference);
   }
 }
 
+// Budgeted drains (LSD passes, MSD splits) move a chain in uneven
+// budget slices, one block run at a time; the result must be the state
+// of a single scatter over the whole source, for every lane count.
 TEST(ParallelPrimitivesTest, ScatterRunsToChainsMatchesPerRunSerial) {
   const size_t n = (1 << 17) + 99;
   const std::vector<value_t> src = RandomValues(n, 17);
-  // Split the source into uneven runs, as a budgeted drain would.
-  std::vector<parallel::SrcRun> runs;
-  size_t pos = 0;
-  Rng rng(19);
-  while (pos < n) {
-    const size_t len = std::min<size_t>(1 + rng.NextBounded(8192), n - pos);
-    runs.push_back({src.data() + pos, len});
-    pos += len;
-  }
-  std::vector<BucketChain> serial_chains;
-  for (size_t i = 0; i < 64; i++) serial_chains.emplace_back(512);
-  for (const parallel::SrcRun& r : runs) {
-    ScatterToChains(r.data, r.len, 0, 6, 63u, serial_chains.data());
-  }
-  for (const size_t lanes : {size_t{2}, size_t{4}, size_t{8}}) {
+  BucketChain source(4096);
+  source.AppendRun(src.data(), n);
+  std::vector<BucketChain> reference = MakeChains(64, 512);
+  ScatterToChains(src.data(), n, 0, 6, 63u, reference.data());
+  for (const size_t lanes : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     ScopedLanes scoped(lanes);
-    std::vector<BucketChain> chains;
-    for (size_t i = 0; i < 64; i++) chains.emplace_back(512);
-    parallel::ScatterRunsToChains(runs.data(), runs.size(), 0, 6, 63u,
-                                  chains.data());
-    ExpectChainsEqual(chains, serial_chains);
+    std::vector<BucketChain> chains = MakeChains(64, 512);
+    BucketChain::Cursor cursor;
+    Rng rng(19);
+    size_t moved = 0;
+    while (!source.AtEnd(cursor)) {
+      const size_t budget = 1 + rng.NextBounded(8192);
+      const size_t got =
+          DrainToChains(source, &cursor, budget, 0, 6, 63u, chains.data());
+      ASSERT_LE(got, budget);
+      moved += got;
+    }
+    EXPECT_EQ(moved, n);
+    ExpectChainsEqual(chains, reference);
+  }
+}
+
+// Progressive Bucketsort's batched scatter resolves ids across the pool
+// and appends serially: chains must match the serial batched scatter
+// at every lane count, on both sides of the parallel threshold, on the
+// WC-staged path (<= 256 chains) and the prefetch path (> 256).
+TEST(ParallelPrimitivesTest, ScatterToChainsBatchedMatchesSerial) {
+  for (const size_t num_chains : {size_t{64}, size_t{300}}) {
+    // Equi-height-style bounds: id = number of bounds <= v.
+    std::vector<value_t> bounds;
+    for (size_t i = 1; i < num_chains; i++) {
+      bounds.push_back(static_cast<value_t>(i * 1000));
+    }
+    auto fill_ids = [&bounds](const value_t* batch, size_t len,
+                              uint32_t* ids) {
+      for (size_t i = 0; i < len; i++) {
+        ids[i] = static_cast<uint32_t>(
+            std::upper_bound(bounds.begin(), bounds.end(), batch[i]) -
+            bounds.begin());
+      }
+    };
+    for (const size_t n : {parallel::kMinParallelElements - 1,
+                           (size_t{1} << 17) + 253}) {
+      Rng rng(29 + n);
+      std::vector<value_t> src(n);
+      for (value_t& v : src) {
+        v = static_cast<value_t>(rng.NextBounded(num_chains * 1000));
+      }
+      std::vector<BucketChain> serial = MakeChains(num_chains, 512);
+      ScatterToChainsBatched(fill_ids, src.data(), n, serial.data(),
+                             num_chains);
+      for (const size_t lanes :
+           {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+        ScopedLanes scoped(lanes);
+        std::vector<BucketChain> chains = MakeChains(num_chains, 512);
+        parallel::ScatterToChainsBatched(fill_ids, src.data(), n,
+                                         chains.data(), num_chains);
+        ExpectChainsEqual(chains, serial);
+      }
+    }
   }
 }
 

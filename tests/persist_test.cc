@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,8 @@
 #include "common/fault.h"
 #include "common/rng.h"
 #include "core/budget.h"
+#include "core/progressive_radixsort_lsd.h"
+#include "core/progressive_radixsort_msd.h"
 #include "core/updatable_index.h"
 #include "eval/registry.h"
 #include "exec/zero_budget_scan.h"
@@ -31,6 +34,7 @@
 #include "serve/epoch.h"
 #include "serve/recovery.h"
 #include "serve/server.h"
+#include "storage/bucket_chain.h"
 #include "workload/data_generator.h"
 #include "workload/synthetic.h"
 
@@ -215,6 +219,149 @@ TEST(PersistRoundTrip, RejectsPayloadForDifferentColumnSize) {
   auto wrong = MakeIndex("pq", other, BudgetSpec::FixedDelta(0.25));
   persist::Reader r = persist::Reader::FromPayload(saved);
   EXPECT_FALSE(wrong->LoadState(&r));
+}
+
+// --- hostile snapshots -------------------------------------------------
+//
+// A snapshot is input: a corrupted field must make LoadState return
+// false, never reach an allocation sized from the file or a bounds
+// check that aborts. These payloads pass every framing check (they are
+// mutated after SaveState), so only the loaders' own validation stands
+// between them and the index.
+
+/// Field slots (8 bytes each) of a Progressive Radixsort LSD payload:
+/// phase, min, max, total_passes, copy_pos, pass, drain_bucket, drain
+/// cursor block and offset, merged, the budget's two fields, the source
+/// chain count, then the first source chain's block capacity and size.
+constexpr size_t kLsdCopyPos = 4;
+constexpr size_t kLsdDrainBucket = 6;
+constexpr size_t kLsdMerged = 9;
+constexpr size_t kLsdChain0Capacity = 13;
+constexpr size_t kLsdChain0Size = 14;
+constexpr size_t kLsdChain0RunCount = 15;
+
+uint64_t PayloadField(const std::string& payload, size_t slot) {
+  uint64_t v = 0;
+  std::memcpy(&v, payload.data() + slot * 8, sizeof(v));
+  return v;
+}
+
+std::string WithPayloadField(std::string payload, size_t slot, uint64_t v) {
+  payload.replace(slot * 8, sizeof(v), reinterpret_cast<const char*>(&v),
+                  sizeof(v));
+  return payload;
+}
+
+using Lsd = ProgressiveRadixsortLSD;
+using Msd = ProgressiveRadixsortMSD;
+
+/// Queries a fresh radix index at least once, until it reaches
+/// `phase`, and returns its SaveState payload.
+template <typename Index>
+std::string PayloadAt(const Column& column, typename Index::Phase phase) {
+  Index index(column, BudgetSpec::FixedDelta(0.05));
+  const RangeQuery q{column.min_value(), column.min_value() + 100};
+  int queries = 0;
+  do {
+    index.Query(q);
+  } while (index.phase() != phase && ++queries < 1000);
+  EXPECT_EQ(index.phase(), phase);
+  return StatePayload(index);
+}
+
+template <typename Index>
+bool Loads(const Column& column, const std::string& payload) {
+  Index index(column, BudgetSpec::FixedDelta(0.05));
+  persist::Reader r = persist::Reader::FromPayload(payload);
+  return index.LoadState(&r);
+}
+
+TEST(PersistHostileSnapshotTest, ChainBlockCapacityMustMatchTheIndex) {
+  const Column column = MakeUniformColumn(8000, 83);
+  const std::string saved = PayloadAt<Lsd>(column, Lsd::Phase::kCreation);
+  ASSERT_EQ(PayloadField(saved, kLsdChain0Capacity),
+            BucketChain::kDefaultBlockCapacity);
+  ASSERT_GT(PayloadField(saved, kLsdChain0Size), 0u);  // load allocates
+  ASSERT_TRUE(Loads<Lsd>(column, saved));
+  // A huge capacity used to reach the block allocation unchecked; any
+  // other capacity would change the block layout saved cursors index.
+  for (const uint64_t capacity : {uint64_t{1} << 60, uint64_t{1},
+                                  uint64_t{0}, uint64_t{8192}}) {
+    EXPECT_FALSE(Loads<Lsd>(
+        column, WithPayloadField(saved, kLsdChain0Capacity, capacity)))
+        << "capacity " << capacity;
+  }
+}
+
+TEST(PersistHostileSnapshotTest, ValueRunCountCannotWrapTheBoundsCheck) {
+  const Column column = MakeUniformColumn(8000, 83);
+  const std::string saved = PayloadAt<Lsd>(column, Lsd::Phase::kCreation);
+  ASSERT_EQ(PayloadField(saved, kLsdChain0RunCount),
+            PayloadField(saved, kLsdChain0Size));
+  // 2^61 values are 2^64 bytes, which wraps to 0 in a byte-size check.
+  const std::string wrapped = WithPayloadField(
+      WithPayloadField(saved, kLsdChain0Size, uint64_t{1} << 62),
+      kLsdChain0RunCount, uint64_t{1} << 61);
+  EXPECT_FALSE(Loads<Lsd>(column, wrapped));
+}
+
+TEST(PersistHostileSnapshotTest, LsdLoadEnforcesElementConservation) {
+  using Phase = Lsd::Phase;
+  const Column column = MakeUniformColumn(8000, 89);
+  const uint64_t n = column.size();
+
+  // Creation: the source chains hold exactly copy_pos elements.
+  const std::string creation = PayloadAt<Lsd>(column, Phase::kCreation);
+  ASSERT_TRUE(Loads<Lsd>(column, creation));
+  const uint64_t copy_pos = PayloadField(creation, kLsdCopyPos);
+  ASSERT_LT(copy_pos, n);
+  EXPECT_FALSE(Loads<Lsd>(
+      column, WithPayloadField(creation, kLsdCopyPos, copy_pos + 1)));
+
+  // Refinement: skipping undrained buckets would lose their elements.
+  const std::string refinement = PayloadAt<Lsd>(column, Phase::kRefinement);
+  ASSERT_TRUE(Loads<Lsd>(column, refinement));
+  ASSERT_LT(PayloadField(refinement, kLsdDrainBucket), 63u);
+  EXPECT_FALSE(
+      Loads<Lsd>(column, WithPayloadField(refinement, kLsdDrainBucket, 63)));
+
+  // Merge: a merged count ahead of the chains used to pass the
+  // `merged <= n` check and then abort in the merge's bounds check.
+  const std::string merge = PayloadAt<Lsd>(column, Phase::kMerge);
+  ASSERT_TRUE(Loads<Lsd>(column, merge));
+  const uint64_t merged = PayloadField(merge, kLsdMerged);
+  ASSERT_LT(merged, n);
+  EXPECT_FALSE(
+      Loads<Lsd>(column, WithPayloadField(merge, kLsdMerged, merged + 1)));
+  EXPECT_FALSE(Loads<Lsd>(column, WithPayloadField(merge, kLsdMerged, n)));
+}
+
+/// Field slots of a Progressive Radixsort MSD payload: phase, min, max,
+/// root_shift, root_mask, copy_pos, merged, ...
+constexpr size_t kMsdCopyPos = 5;
+constexpr size_t kMsdMerged = 6;
+
+TEST(PersistHostileSnapshotTest, MsdLoadEnforcesElementConservation) {
+  using Phase = Msd::Phase;
+  const Column column = MakeUniformColumn(8000, 97);
+  const uint64_t n = column.size();
+
+  // Creation: the root buckets hold exactly copy_pos elements.
+  const std::string creation = PayloadAt<Msd>(column, Phase::kCreation);
+  ASSERT_TRUE(Loads<Msd>(column, creation));
+  const uint64_t copy_pos = PayloadField(creation, kMsdCopyPos);
+  ASSERT_LT(copy_pos, n);
+  EXPECT_FALSE(Loads<Msd>(
+      column, WithPayloadField(creation, kMsdCopyPos, copy_pos + 1)));
+
+  // Refinement: a merged count ahead of the pending buckets used to
+  // load and then abort in the bucket merge's bounds check.
+  const std::string refinement = PayloadAt<Msd>(column, Phase::kRefinement);
+  ASSERT_TRUE(Loads<Msd>(column, refinement));
+  const uint64_t merged = PayloadField(refinement, kMsdMerged);
+  ASSERT_LT(merged, n);
+  EXPECT_FALSE(Loads<Msd>(
+      column, WithPayloadField(refinement, kMsdMerged, merged + 1)));
 }
 
 // --- checkpointer ------------------------------------------------------
